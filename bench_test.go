@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/sketch"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 func feed(b *testing.B, est sketch.Estimator, g stream.Generator) {
@@ -534,5 +536,47 @@ func BenchmarkRobustF0Game(b *testing.B) {
 		u, _ := adv.Next(last, i)
 		alg.Update(u.Item, u.Delta)
 		last = alg.Estimate()
+	}
+}
+
+// BenchmarkTenantSnapshot — the cost of serializing one tenant's state
+// into a snapshot envelope, the body that GET /v1/snapshot serves, a
+// checkpoint persists and a replication ship carries. Each cell is a
+// 4-shard tenant after 200k updates over 50k items; one iteration is one
+// ShipTenant. Run with -benchmem: B/op against the env_bytes metric (the
+// envelope length) is the allocation overhead of building the envelope.
+func BenchmarkTenantSnapshot(b *testing.B) {
+	for _, sketchType := range []string{"countsketch", "f2", "kmv"} {
+		b.Run(sketchType, func(b *testing.B) {
+			srv := server.New(server.Config{Shards: 4, Seed: 1})
+			defer srv.Drain()
+			h := srv.Handler()
+			us := make([]wire.Update, 0, 2000)
+			for i := 0; i < 200000; i++ {
+				us = append(us, wire.Update{Item: dist.SplitMix64(uint64(i % 50000)), Delta: 1})
+				if len(us) < cap(us) {
+					continue
+				}
+				req := httptest.NewRequest("POST", "/v2/update?key=snap&sketch="+sketchType,
+					bytes.NewReader(wire.AppendUpdates(nil, us)))
+				req.Header.Set("Content-Type", wire.ContentType)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != 200 {
+					b.Fatalf("ingest: HTTP %d: %s", rec.Code, rec.Body)
+				}
+				us = us[:0]
+			}
+			var env int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sh, err := srv.ShipTenant("snap")
+				if err != nil {
+					b.Fatal(err)
+				}
+				env = len(sh.State)
+			}
+			b.ReportMetric(float64(env), "env_bytes")
+		})
 	}
 }

@@ -99,7 +99,7 @@ func parse(output string) []benchResult {
 
 func main() {
 	var (
-		bench     = flag.String("bench", "BenchmarkSketchdIngest|BenchmarkPolicyIngest|BenchmarkModelIngest|BenchmarkTopKQuery|BenchmarkEngineSteadyState|BenchmarkClusterIngestReplicated|BenchmarkClusterGlobalQuery", "benchmark name regex passed to the runner")
+		bench     = flag.String("bench", "BenchmarkSketchdIngest|BenchmarkPolicyIngest|BenchmarkModelIngest|BenchmarkTopKQuery|BenchmarkEngineSteadyState|BenchmarkClusterIngestReplicated|BenchmarkClusterGlobalQuery|BenchmarkTenantSnapshot", "benchmark name regex passed to the runner")
 		benchtime = flag.String("benchtime", "1s", "per-benchmark measuring time (or '3x' iteration form)")
 		pkg       = flag.String("pkg", ". ./internal/engine", "space-separated package directories holding the benchmarks")
 		out       = flag.String("o", "BENCH_ingest.json", "output path, or '-' for stdout")

@@ -13,10 +13,13 @@
 //     field, deterministic pseudorandom variates (SplitMix64, exponential,
 //     p-stable and maximally skewed 1-stable via Chambers–Mallows–Stuck,
 //     plus the MedianAbs calibration constant of Indyk's estimator), an
-//     AES-based PRF, and the binary codec behind sketch marshaling.
+//     AES-based PRF, and the binary codec behind sketch state: one
+//     append-encoder idiom (Append* helpers that extend the caller's
+//     buffer, so a multi-shard snapshot is built in one buffer) and one
+//     sticky-error Reader.
 //   - internal/sketch — the Estimator/Factory interfaces every algorithm
 //     implements, plus the type-erased Codec over the mergeable types'
-//     marshal/merge methods.
+//     AppendBinary/merge methods.
 //   - internal/sketchtest — the conformance kit: update/estimate tracking
 //     contract, fixed-seed determinism, declared duplicate-insensitivity,
 //     codec round-trips, and the merge laws (zero identity,

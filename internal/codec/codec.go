@@ -1,72 +1,61 @@
-// Package codec provides the little-endian binary encoding primitives
-// used by the sketches' MarshalBinary/UnmarshalBinary implementations
-// (shipping sketch state between shards is the natural companion of the
-// Merge support). Both Writer and Reader are sticky-error: after the first
-// failure every operation is a no-op and Err reports the cause.
+// Package codec is the little-endian binary encoding behind every
+// sketch's state. Encoding is one idiom: free Append* functions that
+// append a word or a u64-length-prefixed slice to the caller's buffer
+// (the encoding.BinaryAppender style), so a multi-shard snapshot is built
+// in a single buffer. Decoding is one type: the sticky-error Reader —
+// after its first failure every operation is a no-op and Err reports the
+// cause. Single bytes need no helper; append them directly.
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Writer accumulates an encoded buffer.
-type Writer struct {
-	buf bytes.Buffer
-}
+// AppendU64 appends a fixed 64-bit word.
+func AppendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
 
-// U8 appends a byte.
-func (w *Writer) U8(v uint8) { w.buf.WriteByte(v) }
+// AppendI64 appends a signed 64-bit word.
+func AppendI64(dst []byte, v int64) []byte { return AppendU64(dst, uint64(v)) }
 
-// U64 appends a fixed 64-bit word.
-func (w *Writer) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf.Write(b[:])
-}
+// AppendF64 appends a float64 bit pattern.
+func AppendF64(dst []byte, v float64) []byte { return AppendU64(dst, math.Float64bits(v)) }
 
-// I64 appends a signed 64-bit word.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// F64 appends a float64 bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// U64s appends a length-prefixed slice.
-func (w *Writer) U64s(vs []uint64) {
-	w.U64(uint64(len(vs)))
+// AppendU64s appends a length-prefixed slice.
+func AppendU64s(dst []byte, vs []uint64) []byte {
+	dst = AppendU64(slices.Grow(dst, 8*(1+len(vs))), uint64(len(vs)))
 	for _, v := range vs {
-		w.U64(v)
+		dst = AppendU64(dst, v)
 	}
+	return dst
 }
 
-// I64s appends a length-prefixed slice.
-func (w *Writer) I64s(vs []int64) {
-	w.U64(uint64(len(vs)))
+// AppendI64s appends a length-prefixed slice.
+func AppendI64s(dst []byte, vs []int64) []byte {
+	dst = AppendU64(slices.Grow(dst, 8*(1+len(vs))), uint64(len(vs)))
 	for _, v := range vs {
-		w.I64(v)
+		dst = AppendI64(dst, v)
 	}
+	return dst
 }
 
-// F64s appends a length-prefixed slice.
-func (w *Writer) F64s(vs []float64) {
-	w.U64(uint64(len(vs)))
+// AppendF64s appends a length-prefixed slice.
+func AppendF64s(dst []byte, vs []float64) []byte {
+	dst = AppendU64(slices.Grow(dst, 8*(1+len(vs))), uint64(len(vs)))
 	for _, v := range vs {
-		w.F64(v)
+		dst = AppendF64(dst, v)
 	}
+	return dst
 }
 
-// U8s appends a length-prefixed byte slice.
-func (w *Writer) U8s(vs []uint8) {
-	w.U64(uint64(len(vs)))
-	w.buf.Write(vs)
+// AppendU8s appends a length-prefixed byte slice.
+func AppendU8s(dst []byte, vs []uint8) []byte {
+	return append(AppendU64(dst, uint64(len(vs))), vs...)
 }
 
-// Bytes returns the encoded buffer.
-func (w *Writer) Bytes() []byte { return w.buf.Bytes() }
-
-// Reader decodes a buffer produced by Writer.
+// Reader decodes a buffer produced by the Append* functions.
 type Reader struct {
 	b   []byte
 	off int

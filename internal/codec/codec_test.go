@@ -6,12 +6,11 @@ import (
 )
 
 func TestRoundTripScalars(t *testing.T) {
-	var w Writer
-	w.U8(7)
-	w.U64(1 << 60)
-	w.I64(-42)
-	w.F64(3.25)
-	r := NewReader(w.Bytes())
+	b := []byte{7}
+	b = AppendU64(b, 1<<60)
+	b = AppendI64(b, -42)
+	b = AppendF64(b, 3.25)
+	r := NewReader(b)
 	if got := r.U8(); got != 7 {
 		t.Errorf("U8 = %d", got)
 	}
@@ -31,12 +30,11 @@ func TestRoundTripScalars(t *testing.T) {
 
 func TestRoundTripSlicesProperty(t *testing.T) {
 	prop := func(us []uint64, is []int64, fs []float64, bs []uint8) bool {
-		var w Writer
-		w.U64s(us)
-		w.I64s(is)
-		w.F64s(fs)
-		w.U8s(bs)
-		r := NewReader(w.Bytes())
+		b := AppendU64s(nil, us)
+		b = AppendI64s(b, is)
+		b = AppendF64s(b, fs)
+		b = AppendU8s(b, bs)
+		r := NewReader(b)
 		gu, gi, gf, gb := r.U64s(), r.I64s(), r.F64s(), r.U8s()
 		if r.Done() != nil {
 			return false
@@ -72,9 +70,7 @@ func TestRoundTripSlicesProperty(t *testing.T) {
 }
 
 func TestTruncationDetected(t *testing.T) {
-	var w Writer
-	w.U64s([]uint64{1, 2, 3})
-	full := w.Bytes()
+	full := AppendU64s(nil, []uint64{1, 2, 3})
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
 		r.U64s()
@@ -87,9 +83,7 @@ func TestTruncationDetected(t *testing.T) {
 func TestHostileLengthPrefixRejected(t *testing.T) {
 	// A declared length far beyond the buffer must not cause a huge
 	// allocation; the reader validates against remaining input.
-	var w Writer
-	w.U64(1 << 62) // absurd length prefix
-	r := NewReader(w.Bytes())
+	r := NewReader(AppendU64(nil, 1<<62)) // absurd length prefix
 	out := r.U64s()
 	if r.Err() == nil {
 		t.Error("absurd length prefix accepted")
@@ -100,10 +94,7 @@ func TestHostileLengthPrefixRejected(t *testing.T) {
 }
 
 func TestTrailingBytesDetected(t *testing.T) {
-	var w Writer
-	w.U8(1)
-	w.U8(2)
-	r := NewReader(w.Bytes())
+	r := NewReader([]byte{1, 2})
 	r.U8()
 	if err := r.Done(); err == nil {
 		t.Error("trailing byte not detected")

@@ -9,8 +9,8 @@ import (
 // FuzzRoundTrip covers the one wire format in the repository that had no
 // fuzz target: the codec layer itself. Each input plays two roles.
 //
-// First, encode→decode: the fuzzed scalars and byte payload are written
-// through every Writer primitive and must read back exactly, with Done
+// First, encode→decode: the fuzzed scalars and byte payload are appended
+// through every Append* function and must read back exactly, with Done
 // reporting a fully consumed buffer. Second, adversarial decode: the raw
 // fuzz payload is fed straight into a Reader driven through a fixed op
 // schedule, which must never panic, must stick to its first error, and
@@ -38,17 +38,16 @@ func FuzzRoundTrip(f *testing.F) {
 			fs = append(fs, math.Float64frombits(word))
 		}
 
-		var w Writer
-		w.U8(uint8(u))
-		w.U64(u)
-		w.I64(i)
-		w.F64(fv)
-		w.U64s(us)
-		w.I64s(is)
-		w.F64s(fs)
-		w.U8s(payload)
+		b := []byte{uint8(u)}
+		b = AppendU64(b, u)
+		b = AppendI64(b, i)
+		b = AppendF64(b, fv)
+		b = AppendU64s(b, us)
+		b = AppendI64s(b, is)
+		b = AppendF64s(b, fs)
+		b = AppendU8s(b, payload)
 
-		r := NewReader(w.Bytes())
+		r := NewReader(b)
 		if got := r.U8(); got != uint8(u) {
 			t.Fatalf("U8 = %d, want %d", got, uint8(u))
 		}

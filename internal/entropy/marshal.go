@@ -8,18 +8,19 @@ import (
 
 const ccFormatV1 = 1
 
-// MarshalBinary encodes the sketch state (dimensions, variate salts,
-// counters, and the exact F1 counter).
-func (cc *CC) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.U8(ccFormatV1)
-	w.U64(uint64(cc.groups))
-	w.U64(uint64(cc.per))
-	w.U64s(cc.salts)
-	w.F64s(cc.y)
-	w.I64(cc.f1)
-	return w.Bytes(), nil
+// AppendBinary appends the sketch state (dimensions, variate salts,
+// counters, and the exact F1 counter) to dst.
+func (cc *CC) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, ccFormatV1)
+	dst = codec.AppendU64(dst, uint64(cc.groups))
+	dst = codec.AppendU64(dst, uint64(cc.per))
+	dst = codec.AppendU64s(dst, cc.salts)
+	dst = codec.AppendF64s(dst, cc.y)
+	return codec.AppendI64(dst, cc.f1), nil
 }
+
+// MarshalBinary encodes the sketch state; see AppendBinary.
+func (cc *CC) MarshalBinary() ([]byte, error) { return cc.AppendBinary(nil) }
 
 // UnmarshalBinary decodes state produced by MarshalBinary, replacing cc.
 func (cc *CC) UnmarshalBinary(data []byte) error {

@@ -14,16 +14,18 @@ const (
 	hllFormatV1 = 1
 )
 
-// MarshalBinary encodes the sketch state (including the hash function, so
-// the decoded sketch can continue the stream and merge with its shards).
-func (s *KMV) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.U8(kmvFormatV1)
-	w.U64(uint64(s.k))
-	w.U64s(s.h.Coeffs())
-	w.U64s(s.vals)
-	return w.Bytes(), nil
+// AppendBinary appends the sketch state (including the hash function, so
+// the decoded sketch can continue the stream and merge with its shards)
+// to dst.
+func (s *KMV) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, kmvFormatV1)
+	dst = codec.AppendU64(dst, uint64(s.k))
+	dst = codec.AppendU64s(dst, s.h.Coeffs())
+	return codec.AppendU64s(dst, s.vals), nil
 }
+
+// MarshalBinary encodes the sketch state; see AppendBinary.
+func (s *KMV) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // UnmarshalBinary decodes state produced by MarshalBinary, replacing s.
 func (s *KMV) UnmarshalBinary(data []byte) error {
@@ -54,15 +56,15 @@ func (s *KMV) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the HLL state (registers + hash function).
-func (s *HLL) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.U8(hllFormatV1)
-	w.U8(s.precision)
-	w.U64s(s.h.Coeffs())
-	w.U8s(s.regs)
-	return w.Bytes(), nil
+// AppendBinary appends the HLL state (registers + hash function) to dst.
+func (s *HLL) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, hllFormatV1, s.precision)
+	dst = codec.AppendU64s(dst, s.h.Coeffs())
+	return codec.AppendU8s(dst, s.regs), nil
 }
+
+// MarshalBinary encodes the HLL state; see AppendBinary.
+func (s *HLL) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // UnmarshalBinary decodes state produced by MarshalBinary, replacing s.
 func (s *HLL) UnmarshalBinary(data []byte) error {

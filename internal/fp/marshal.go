@@ -13,18 +13,20 @@ const (
 	indykFormatV1 = 1
 )
 
-// MarshalBinary encodes the sketch state (hash functions + counters).
-func (f *F2Sketch) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.U8(f2FormatV1)
-	w.U64(uint64(f.rows))
-	w.U64(uint64(f.w))
+// AppendBinary appends the sketch state (hash functions + counters) to dst.
+func (f *F2Sketch) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, f2FormatV1)
+	dst = codec.AppendU64(dst, uint64(f.rows))
+	dst = codec.AppendU64(dst, uint64(f.w))
 	for r := 0; r < f.rows; r++ {
-		w.U64s(f.hs[r].Coeffs())
-		w.F64s(f.c[r])
+		dst = codec.AppendU64s(dst, f.hs[r].Coeffs())
+		dst = codec.AppendF64s(dst, f.c[r])
 	}
-	return w.Bytes(), nil
+	return dst, nil
 }
+
+// MarshalBinary encodes the sketch state; see AppendBinary.
+func (f *F2Sketch) MarshalBinary() ([]byte, error) { return f.AppendBinary(nil) }
 
 // UnmarshalBinary decodes state produced by MarshalBinary, replacing f.
 func (f *F2Sketch) UnmarshalBinary(data []byte) error {
@@ -60,16 +62,17 @@ func (f *F2Sketch) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the sketch state (salts + counters; the
-// calibration constant is recomputed on decode).
-func (s *Indyk) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.U8(indykFormatV1)
-	w.F64(s.p)
-	w.U64s(s.salts)
-	w.F64s(s.y)
-	return w.Bytes(), nil
+// AppendBinary appends the sketch state (salts + counters; the
+// calibration constant is recomputed on decode) to dst.
+func (s *Indyk) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, indykFormatV1)
+	dst = codec.AppendF64(dst, s.p)
+	dst = codec.AppendU64s(dst, s.salts)
+	return codec.AppendF64s(dst, s.y), nil
 }
+
+// MarshalBinary encodes the sketch state; see AppendBinary.
+func (s *Indyk) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // UnmarshalBinary decodes state produced by MarshalBinary, replacing s.
 func (s *Indyk) UnmarshalBinary(data []byte) error {

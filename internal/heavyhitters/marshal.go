@@ -2,7 +2,7 @@ package heavyhitters
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/hash"
@@ -14,18 +14,17 @@ const (
 	cmFormatV1 = 1
 )
 
-// MarshalBinary encodes the sketch state (hash functions, counters, and
+// AppendBinary appends the sketch state (hash functions, counters, and
 // the candidate pool with its retention tallies, so heavy hitters — and
-// their pruning behaviour — survive the round trip).
-func (cs *CountSketch) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.U8(csFormatV2)
-	w.U64(uint64(cs.rows))
-	w.U64(uint64(cs.w))
-	w.U64(uint64(cs.candCap))
+// their pruning behaviour — survive the round trip) to dst.
+func (cs *CountSketch) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, csFormatV2)
+	dst = codec.AppendU64(dst, uint64(cs.rows))
+	dst = codec.AppendU64(dst, uint64(cs.w))
+	dst = codec.AppendU64(dst, uint64(cs.candCap))
 	for r := 0; r < cs.rows; r++ {
-		w.U64s(cs.hs[r].Coeffs())
-		w.I64s(cs.c[r])
+		dst = codec.AppendU64s(dst, cs.hs[r].Coeffs())
+		dst = codec.AppendI64s(dst, cs.c[r])
 	}
 	cands := make([]uint64, 0, len(cs.cands))
 	for it := range cs.cands {
@@ -33,15 +32,18 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 	}
 	// Canonical order: the candidate pool is a map, and ranging over it
 	// would make two encodings of identical state differ byte-for-byte.
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	w.U64s(cands)
-	weights := make([]int64, len(cands))
-	for i, it := range cands {
-		weights[i] = cs.cands[it]
+	slices.Sort(cands)
+	dst = codec.AppendU64s(dst, cands)
+	// The tallies in candidate order, laid out as AppendI64s would.
+	dst = codec.AppendU64(dst, uint64(len(cands)))
+	for _, it := range cands {
+		dst = codec.AppendI64(dst, cs.cands[it])
 	}
-	w.I64s(weights)
-	return w.Bytes(), nil
+	return dst, nil
 }
+
+// MarshalBinary encodes the sketch state; see AppendBinary.
+func (cs *CountSketch) MarshalBinary() ([]byte, error) { return cs.AppendBinary(nil) }
 
 // UnmarshalBinary decodes state produced by MarshalBinary, replacing cs.
 func (cs *CountSketch) UnmarshalBinary(data []byte) error {
@@ -97,18 +99,20 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the sketch state (hash functions + counters).
-func (cm *CountMin) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.U8(cmFormatV1)
-	w.U64(uint64(cm.rows))
-	w.U64(uint64(cm.w))
+// AppendBinary appends the sketch state (hash functions + counters) to dst.
+func (cm *CountMin) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, cmFormatV1)
+	dst = codec.AppendU64(dst, uint64(cm.rows))
+	dst = codec.AppendU64(dst, uint64(cm.w))
 	for r := 0; r < cm.rows; r++ {
-		w.U64s(cm.hs[r].Coeffs())
-		w.I64s(cm.c[r])
+		dst = codec.AppendU64s(dst, cm.hs[r].Coeffs())
+		dst = codec.AppendI64s(dst, cm.c[r])
 	}
-	return w.Bytes(), nil
+	return dst, nil
 }
+
+// MarshalBinary encodes the sketch state; see AppendBinary.
+func (cm *CountMin) MarshalBinary() ([]byte, error) { return cm.AppendBinary(nil) }
 
 // UnmarshalBinary decodes state produced by MarshalBinary, replacing cm.
 func (cm *CountMin) UnmarshalBinary(data []byte) error {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/sketch"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -174,9 +173,10 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 	})
 }
 
-// restoreState folds a checkpoint's snapshot envelope into a fresh tenant
-// engine via the same two-phase merge the /v1/merge endpoint uses. Any
-// failure means the caller rebuilds the tenant by full replay instead.
+// restoreState folds a checkpoint's or shipment's snapshot envelope into
+// a fresh tenant engine through fold, the two-phase merge the /v1/merge
+// endpoint uses. On failure recovery rebuilds the tenant by full replay
+// instead, and a shipment is refused.
 func restoreState(t *tenant, state []byte) error {
 	name, parts, err := decodeSnapshot(state)
 	if err != nil {
@@ -185,17 +185,15 @@ func restoreState(t *tenant, state []byte) error {
 	if name != t.spec.Name {
 		return fmt.Errorf("checkpoint state is a %q snapshot, tenant is %q", name, t.spec.Name)
 	}
-	if len(parts) != t.eng.Shards() {
-		return fmt.Errorf("checkpoint state has %d shards, tenant runs %d", len(parts), t.eng.Shards())
-	}
 	m, err := t.spec.prepare(parts)
 	if err != nil {
 		return err
 	}
-	if err := t.eng.Visit(m.Check); err != nil {
+	if err := t.fold(m); err != nil {
 		return err
 	}
-	return t.eng.Visit(m.Apply)
+	t.snapBytes.Store(int64(len(state)))
+	return nil
 }
 
 // logCreate journals a tenant declaration. Called under s.mu before the
@@ -271,16 +269,10 @@ func (s *Server) checkpointTenant(t *tenant) error {
 func (s *Server) checkpointTenantLocked(t *tenant) error {
 	var state []byte
 	if t.spec.Mergeable() {
-		parts := make([][]byte, t.eng.Shards())
-		err := t.eng.Visit(func(i int, est sketch.Estimator) error {
-			b, err := t.spec.marshal(est)
-			parts[i] = b
-			return err
-		})
-		if err != nil {
+		var err error
+		if state, err = t.snapshot(); err != nil {
 			return err
 		}
-		state = encodeSnapshot(t.spec.Name, parts)
 	}
 	specJSON, err := json.Marshal(t.ts)
 	if err != nil {

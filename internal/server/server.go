@@ -195,6 +195,10 @@ type tenant struct {
 	walMu     sync.RWMutex
 	sinceCkpt atomic.Int64 // updates applied since the last checkpoint
 	ckptBusy  atomic.Bool  // one background checkpoint at a time
+
+	// snapBytes is the length of the tenant's last snapshot envelope,
+	// written or restored; it sizes the next envelope's buffer.
+	snapBytes atomic.Int64
 }
 
 // Server is a sketchd instance. Create with New (in-memory) or Open
@@ -527,19 +531,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sketch type %q is not serializable (robust ensembles are not linear-mergeable)", t.spec.Name))
 		return
 	}
-	parts := make([][]byte, t.eng.Shards())
-	err := t.eng.Visit(func(i int, est sketch.Estimator) error {
-		b, err := t.spec.marshal(est)
-		parts[i] = b
-		return err
-	})
+	env, err := t.snapshot()
 	if err != nil {
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Sketch", t.spec.Name)
-	_, _ = w.Write(encodeSnapshot(t.spec.Name, parts))
+	_, _ = w.Write(env)
 }
 
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
@@ -601,9 +600,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		want = t.eng.Shards()
 	}
 	if len(parts) != want {
-		fail(w, http.StatusConflict,
-			fmt.Errorf("%w: snapshot has %d shards, the destination keyspace runs %d (snapshot exchange requires identical shards and seed)",
-				errConflict, len(parts), want))
+		fail(w, http.StatusConflict, shardConflict(len(parts), want))
 		return
 	}
 	m, err := sp.prepare(parts)
@@ -624,15 +621,11 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		t.walMu.Lock()
 		defer t.walMu.Unlock()
 	}
-	// Two-phase merge: check every shard's compatibility without mutating
-	// (phase 1), then apply (phase 2). A mismatch — almost always a
-	// different root seed — aborts with the sketches untouched, so the
-	// client can safely retry after fixing the snapshot.
-	if err := t.eng.Visit(m.Check); err != nil {
-		fail(w, http.StatusConflict, fmt.Errorf("%w: %v", errConflict, err))
-		return
-	}
-	if err := t.eng.Visit(m.Apply); err != nil {
+	// Two-phase merge: a mismatch — almost always a different root seed,
+	// or a tenant a concurrent create declared with other shards — aborts
+	// with the sketches untouched (409), so the client can safely retry
+	// after fixing the snapshot.
+	if err := t.fold(m); err != nil {
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}

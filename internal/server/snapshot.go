@@ -7,11 +7,12 @@ import (
 	"hash/crc32"
 
 	"repro/internal/codec"
+	"repro/internal/sketch"
 )
 
 // The snapshot envelope carried by GET /v1/snapshot and POST /v1/merge:
 // a version byte, the sketch type name, and one opaque blob per shard
-// (each shard's estimator serialized by its own MarshalBinary). Shard
+// (each shard's estimator serialized by its own AppendBinary). Shard
 // blobs are positional — merging requires the same shard count and the
 // same root seed on both servers, so shard i's estimator on the source
 // shares randomness with shard i's on the destination and the items hash
@@ -42,19 +43,36 @@ var snapshotCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // body does not match its checksum.
 var ErrSnapshotChecksum = errors.New("server: snapshot checksum mismatch")
 
-func encodeSnapshot(sketchName string, parts [][]byte) []byte {
-	var w codec.Writer
-	w.U8s([]byte(sketchName))
-	w.U64(uint64(len(parts)))
-	for _, p := range parts {
-		w.U8s(p)
+// snapshot encodes the tenant's state as a V2 envelope, appending every
+// shard's state straight into one buffer: each shard's length prefix and
+// then the checksum are back-patched once the bytes behind them are in
+// place. The buffer is sized from the tenant's previous envelope plus an
+// eighth, headroom for state that has grown since (a fuller KMV, a larger
+// candidate pool) so a slightly longer envelope does not reallocate. The
+// tenant must be Mergeable.
+func (t *tenant) snapshot() ([]byte, error) {
+	prev := int(t.snapBytes.Load())
+	env := make([]byte, 0, prev+prev/8)
+	env = append(env, snapshotFormatV2)
+	env = codec.AppendU64(env, 0) // checksum, patched below
+	env = codec.AppendU8s(env, []byte(t.spec.Name))
+	env = codec.AppendU64(env, uint64(t.eng.Shards()))
+	err := t.eng.Visit(func(_ int, est sketch.Estimator) error {
+		at := len(env)
+		b, err := t.spec.codec.Append(codec.AppendU64(env, 0), est) // part length, patched below
+		if err != nil {
+			return err
+		}
+		env = b
+		binary.LittleEndian.PutUint64(env[at:], uint64(len(env)-at-8))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	body := w.Bytes()
-
-	out := make([]byte, 0, snapshotV2HeaderLen+len(body))
-	out = append(out, snapshotFormatV2)
-	out = binary.LittleEndian.AppendUint64(out, uint64(crc32.Checksum(body, snapshotCRCTable)))
-	return append(out, body...)
+	binary.LittleEndian.PutUint64(env[1:], uint64(crc32.Checksum(env[snapshotV2HeaderLen:], snapshotCRCTable)))
+	t.snapBytes.Store(int64(len(env)))
+	return env, nil
 }
 
 func decodeSnapshot(data []byte) (sketchName string, parts [][]byte, err error) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,13 +13,36 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/sketch"
 )
 
 func TestSnapshotEnvelopeRoundTrip(t *testing.T) {
-	parts := [][]byte{{1, 2, 3}, {}, {0xff}}
-	enc := encodeSnapshot("countsketch", parts)
+	s := New(Config{Shards: 3, Seed: 3})
+	defer s.Drain()
+	tn, err := s.getOrCreate("k", TenantSpec{Sketch: "countsketch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		tn.eng.Update(uint64(i%37), 1)
+	}
+	enc, err := tn.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc[0] != snapshotFormatV2 {
+		t.Fatalf("snapshot emits version %d, want V2", enc[0])
+	}
 	name, got, err := decodeSnapshot(enc)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var parts [][]byte
+	if err := tn.eng.Visit(func(_ int, est sketch.Estimator) error {
+		b, err := tn.spec.codec.Append(nil, est)
+		parts = append(parts, b)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if name != "countsketch" || len(got) != len(parts) {
@@ -25,8 +50,18 @@ func TestSnapshotEnvelopeRoundTrip(t *testing.T) {
 	}
 	for i := range parts {
 		if !bytes.Equal(got[i], parts[i]) {
-			t.Errorf("part %d = %v, want %v", i, got[i], parts[i])
+			t.Errorf("part %d is not shard %d's own encoding", i, i)
 		}
+	}
+	// The test builder reproduces the envelope byte for byte, so the
+	// tests that build envelopes around arbitrary parts speak the format
+	// the server writes.
+	if !bytes.Equal(encodeSnapshotV2(name, parts), enc) {
+		t.Error("encodeSnapshotV2 differs from the server's envelope")
+	}
+	// The second snapshot is sized from the first and must not differ.
+	if again, err := tn.snapshot(); err != nil || !bytes.Equal(again, enc) {
+		t.Errorf("second snapshot differs (err %v)", err)
 	}
 	if _, _, err := decodeSnapshot(enc[:len(enc)-1]); err == nil {
 		t.Error("truncated envelope accepted")
@@ -34,22 +69,25 @@ func TestSnapshotEnvelopeRoundTrip(t *testing.T) {
 	if _, _, err := decodeSnapshot([]byte{9}); err == nil {
 		t.Error("unknown version accepted")
 	}
-	if enc[0] != snapshotFormatV2 {
-		t.Fatalf("encodeSnapshot emits version %d, want V2", enc[0])
-	}
 }
 
 // encodeSnapshotV1 reproduces the legacy checksum-free envelope so decode
 // compatibility stays pinned even though nothing writes V1 anymore.
 func encodeSnapshotV1(sketchName string, parts [][]byte) []byte {
-	var w codec.Writer
-	w.U8(snapshotFormatV1)
-	w.U8s([]byte(sketchName))
-	w.U64(uint64(len(parts)))
+	b := codec.AppendU8s([]byte{snapshotFormatV1}, []byte(sketchName))
+	b = codec.AppendU64(b, uint64(len(parts)))
 	for _, p := range parts {
-		w.U8s(p)
+		b = codec.AppendU8s(b, p)
 	}
-	return w.Bytes()
+	return b
+}
+
+// encodeSnapshotV2 builds the checksummed envelope around arbitrary shard
+// parts: the V1 body behind a version byte and the body's CRC32-C.
+func encodeSnapshotV2(sketchName string, parts [][]byte) []byte {
+	body := encodeSnapshotV1(sketchName, parts)[1:]
+	b := codec.AppendU64([]byte{snapshotFormatV2}, uint64(crc32.Checksum(body, snapshotCRCTable)))
+	return append(b, body...)
 }
 
 func TestSnapshotV1StillDecodes(t *testing.T) {
@@ -63,10 +101,55 @@ func TestSnapshotV1StillDecodes(t *testing.T) {
 	}
 }
 
+// TestFoldRejectsShardCountMismatch: fold checks the part count against
+// the tenant it folds into, not against the one a caller looked up
+// earlier. /v1/merge validates against its lookup, then folds into
+// whatever getOrCreate resolves; a concurrent create can make that a
+// tenant with more shards (Check would index past the parts) or fewer
+// (trailing parts would be dropped). Both must be a conflict that leaves
+// the tenant untouched.
+func TestFoldRejectsShardCountMismatch(t *testing.T) {
+	s := New(Config{Seed: 3})
+	defer s.Drain()
+	src, err := s.getOrCreate("src", TenantSpec{Sketch: "f2", Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		src.eng.Update(uint64(i), 1)
+	}
+	env, err := src.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, parts, err := decodeSnapshot(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := src.spec.prepare(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 4} {
+		dst, err := s.getOrCreate(fmt.Sprintf("dst%d", shards), TenantSpec{Sketch: "f2", Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst.eng.Update(1, 5)
+		before := dst.eng.Estimate()
+		if err := dst.fold(m); !errors.Is(err, errConflict) {
+			t.Errorf("%d-part fold into a %d-shard tenant: err = %v, want a conflict", len(parts), shards, err)
+		}
+		if after := dst.eng.Estimate(); after != before {
+			t.Errorf("%d-shard tenant changed %v → %v on a rejected fold", shards, before, after)
+		}
+	}
+}
+
 // TestSnapshotChecksumRejectsBitFlips: any single corrupted body byte in a
 // V2 envelope must surface as ErrSnapshotChecksum, never decode.
 func TestSnapshotChecksumRejectsBitFlips(t *testing.T) {
-	enc := encodeSnapshot("f2", [][]byte{{10, 20, 30}, {40}})
+	enc := encodeSnapshotV2("f2", [][]byte{{10, 20, 30}, {40}})
 	for off := snapshotV2HeaderLen; off < len(enc); off++ {
 		bad := append([]byte(nil), enc...)
 		bad[off] ^= 0x01
@@ -129,7 +212,7 @@ func TestMergeAtomicityAndQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts[1] = []byte{99} // corrupt one shard blob (bad codec version)
-	bad := encodeSnapshot(name, parts)
+	bad := encodeSnapshotV2(name, parts)
 
 	// Merging the half-corrupted snapshot into the live key must change
 	// nothing: phase-1 decode fails before any shard is touched.
@@ -146,7 +229,7 @@ func TestMergeAtomicityAndQuota(t *testing.T) {
 	if code, _ := do(http.MethodPost, "/v1/merge?key=fresh", bad); code != http.StatusBadRequest {
 		t.Errorf("corrupted merge into fresh key: HTTP %d, want 400", code)
 	}
-	if code, _ := do(http.MethodPost, "/v1/merge?key=fresh", encodeSnapshot(name, parts[:1])); code != http.StatusConflict {
+	if code, _ := do(http.MethodPost, "/v1/merge?key=fresh", encodeSnapshotV2(name, parts[:1])); code != http.StatusConflict {
 		t.Errorf("wrong shard count into fresh key: HTTP %d, want 409", code)
 	}
 	code, body := do(http.MethodGet, "/v1/stats", nil)
@@ -180,7 +263,7 @@ func TestMergeAtomicityAndQuota(t *testing.T) {
 // internal/entropy — together they cover every format reachable from
 // POST /v1/merge).
 func FuzzSnapshotDecode(f *testing.F) {
-	f.Add(encodeSnapshot("f2", [][]byte{{1, 2}, {3}}))
+	f.Add(encodeSnapshotV2("f2", [][]byte{{1, 2}, {3}}))
 	f.Add(encodeSnapshotV1("f2", [][]byte{{1, 2}, {3}}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -193,7 +276,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// A decoded V2 envelope must checksum-verify its body exactly; any
 		// accepted envelope must be internally consistent and re-encode to
 		// something that decodes back to the same contents.
-		enc := encodeSnapshot(name, parts)
+		enc := encodeSnapshotV2(name, parts)
 		name2, parts2, err := decodeSnapshot(enc)
 		if err != nil {
 			t.Fatalf("re-encoded envelope rejected: %v", err)

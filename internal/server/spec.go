@@ -71,11 +71,6 @@ func (sp spec) Mergeable() bool { return sp.codec != nil }
 // Display is the spec's human-readable identity, e.g. "f2+paths".
 func (sp spec) Display() string { return sp.Name + "+" + sp.Policy }
 
-// marshal serializes one shard estimator through the spec's codec.
-func (sp spec) marshal(est sketch.Estimator) ([]byte, error) {
-	return sp.codec.Marshal(est)
-}
-
 // A merger is a fully decoded snapshot staged for merging, one part per
 // shard. Check is a non-mutating compatibility probe (it merges an empty
 // Fresh copy of the decoded part, which verifies dimensions and shared
@@ -114,6 +109,30 @@ func (m *merger) Check(i int, est sketch.Estimator) error {
 
 func (m *merger) Apply(i int, est sketch.Estimator) error {
 	return m.codec.Merge(est, m.parts[i])
+}
+
+// fold merges a prepared snapshot into t — the one fold behind POST
+// /v1/merge, checkpoint recovery and cross-node queries. The part count
+// is checked against t itself: a caller that validated it against an
+// earlier lookup may since have resolved a tenant that a concurrent
+// create declared with a different shard count. Check then runs on every
+// shard before Apply touches any, so a conflict leaves t unchanged.
+// Shard-count and compatibility failures wrap errConflict.
+func (t *tenant) fold(m *merger) error {
+	if len(m.parts) != t.eng.Shards() {
+		return shardConflict(len(m.parts), t.eng.Shards())
+	}
+	if err := t.eng.Visit(m.Check); err != nil {
+		return fmt.Errorf("%w: %v", errConflict, err)
+	}
+	return t.eng.Visit(m.Apply)
+}
+
+// shardConflict reports a snapshot whose shard count differs from the
+// destination tenant's.
+func shardConflict(parts, shards int) error {
+	return fmt.Errorf("%w: snapshot has %d shards, the destination keyspace runs %d (snapshot exchange requires identical shards and seed)",
+		errConflict, parts, shards)
 }
 
 // kmvK sizes a KMV sketch for relative error eps with failure probability

@@ -5,7 +5,7 @@ import "fmt"
 // Codec bundles the serialization and linear-merge operations of a
 // mergeable sketch type behind the type-erased Estimator interface, so
 // harnesses that hold heterogeneous estimators (the server's spec
-// registry, the sketchtest conformance kit) can marshal, decode, and merge
+// registry, the sketchtest conformance kit) can encode, decode, and merge
 // without knowing the concrete type. Build one with CodecFor; every
 // operation type-checks its arguments and reports a descriptive error on
 // mismatch rather than panicking.
@@ -13,10 +13,10 @@ type Codec struct {
 	// Name labels errors ("f2", "kmv", …).
 	Name string
 
-	// Marshal serializes the estimator's state.
-	Marshal func(est Estimator) ([]byte, error)
+	// Append appends the estimator's encoded state to dst.
+	Append func(dst []byte, est Estimator) ([]byte, error)
 
-	// Unmarshal decodes a buffer produced by Marshal into a new instance.
+	// Unmarshal decodes a buffer produced by Append into a new instance.
 	Unmarshal func(data []byte) (Estimator, error)
 
 	// Fresh returns a zero-state estimator sharing est's randomness and
@@ -30,13 +30,13 @@ type Codec struct {
 }
 
 // CodecFor derives a Codec from a sketch type's typed
-// MarshalBinary/UnmarshalBinary/Fresh/Merge methods. The single explicit
+// AppendBinary/UnmarshalBinary/Fresh/Merge methods. The single explicit
 // type argument is the concrete sketch struct; its pointer type is
 // inferred.
 func CodecFor[T any, PT interface {
 	*T
 	Estimator
-	MarshalBinary() ([]byte, error)
+	AppendBinary(dst []byte) ([]byte, error)
 	UnmarshalBinary([]byte) error
 	Fresh() PT
 	Merge(PT) error
@@ -50,12 +50,12 @@ func CodecFor[T any, PT interface {
 	}
 	return &Codec{
 		Name: name,
-		Marshal: func(est Estimator) ([]byte, error) {
+		Append: func(dst []byte, est Estimator) ([]byte, error) {
 			p, err := cast(est)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
-			return p.MarshalBinary()
+			return p.AppendBinary(dst)
 		},
 		Unmarshal: func(data []byte) (Estimator, error) {
 			var o T

@@ -223,7 +223,7 @@ func checkDuplicateInsensitive(h Harness) error {
 	var beforeState []byte
 	if h.Codec != nil {
 		var err error
-		if beforeState, err = h.Codec.Marshal(est); err != nil {
+		if beforeState, err = h.Codec.Append(nil, est); err != nil {
 			return fmt.Errorf("marshal before re-inserts: %v", err)
 		}
 	}
@@ -234,7 +234,7 @@ func checkDuplicateInsensitive(h Harness) error {
 		return fmt.Errorf("declared duplicate-insensitive but estimate moved %v -> %v on re-inserts", before, after)
 	}
 	if beforeState != nil {
-		afterState, err := h.Codec.Marshal(est)
+		afterState, err := h.Codec.Append(nil, est)
 		if err != nil {
 			return fmt.Errorf("marshal after re-inserts: %v", err)
 		}
@@ -305,12 +305,12 @@ func checkBatchConsistency(h Harness) error {
 	return nil
 }
 
-// checkMarshalRoundTrip requires Unmarshal(Marshal(x)) to reproduce x:
+// checkMarshalRoundTrip requires Unmarshal(Append(nil, x)) to reproduce x:
 // equal estimate, equal space order, and a bit-identical re-encoding.
 func checkMarshalRoundTrip(h Harness) error {
 	est := h.Factory(h.Seed + 4)
 	feed(est, h.testStream(4, h.updates()))
-	data, err := h.Codec.Marshal(est)
+	data, err := h.Codec.Append(nil, est)
 	if err != nil {
 		return fmt.Errorf("marshal: %v", err)
 	}
@@ -321,12 +321,22 @@ func checkMarshalRoundTrip(h Harness) error {
 	if got, want := back.Estimate(), est.Estimate(); got != want {
 		return fmt.Errorf("round-tripped estimate %v, want %v", got, want)
 	}
-	again, err := h.Codec.Marshal(back)
+	again, err := h.Codec.Append(nil, back)
 	if err != nil {
 		return fmt.Errorf("re-marshal: %v", err)
 	}
 	if !bytes.Equal(data, again) {
 		return fmt.Errorf("re-encoding differs from the original encoding (%d vs %d bytes)", len(again), len(data))
+	}
+	// Envelopes append every shard into one buffer: Append must extend
+	// dst, leaving the bytes already in it untouched.
+	prefix := []byte("prefix")
+	joined, err := h.Codec.Append(append([]byte(nil), prefix...), est)
+	if err != nil {
+		return fmt.Errorf("append after a prefix: %v", err)
+	}
+	if !bytes.Equal(joined, append(prefix, data...)) {
+		return fmt.Errorf("append after a prefix is not the prefix followed by the encoding")
 	}
 	return nil
 }
@@ -353,7 +363,7 @@ func checkMergeZeroIdentity(h Harness) error {
 	}
 
 	// 0 ⊕ x via a round-tripped copy, so est itself stays a witness.
-	data, err := h.Codec.Marshal(est)
+	data, err := h.Codec.Append(nil, est)
 	if err != nil {
 		return fmt.Errorf("marshal: %v", err)
 	}
@@ -388,7 +398,7 @@ func (h Harness) thirds(seed int64) [3]sketch.Estimator {
 // clone round-trips an estimator through the codec, yielding an
 // independent copy merges can consume.
 func (h Harness) clone(est sketch.Estimator) (sketch.Estimator, error) {
-	data, err := h.Codec.Marshal(est)
+	data, err := h.Codec.Append(nil, est)
 	if err != nil {
 		return nil, err
 	}

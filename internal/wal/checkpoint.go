@@ -58,22 +58,19 @@ func checkpointPath(dir, key string) string {
 // WriteCheckpoint atomically persists ck into dir, replacing any previous
 // checkpoint for the same key.
 func WriteCheckpoint(dir string, ck Checkpoint) error {
-	body := make([]byte, 0, 32+len(ck.Key)+len(ck.Spec)+len(ck.State))
-	body = binary.LittleEndian.AppendUint64(body, ck.LSN)
-	body = binary.LittleEndian.AppendUint64(body, uint64(ck.Mass))
-	body = binary.LittleEndian.AppendUint64(body, uint64(ck.Deleted))
-	body = binary.AppendUvarint(body, uint64(len(ck.Key)))
-	body = append(body, ck.Key...)
-	body = binary.AppendUvarint(body, uint64(len(ck.Spec)))
-	body = append(body, ck.Spec...)
-	body = binary.AppendUvarint(body, uint64(len(ck.State)))
-	body = append(body, ck.State...)
-
-	out := make([]byte, 0, ckptHeaderLen+len(body))
-	out = append(out, ckptMagic...)
-	out = append(out, ckptVersion)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
-	out = append(out, body...)
+	out := make([]byte, ckptHeaderLen, ckptHeaderLen+24+3*binary.MaxVarintLen64+len(ck.Key)+len(ck.Spec)+len(ck.State))
+	copy(out, ckptMagic)
+	out[4] = ckptVersion // the CRC at out[5:9] is patched once the body is in place
+	out = binary.LittleEndian.AppendUint64(out, ck.LSN)
+	out = binary.LittleEndian.AppendUint64(out, uint64(ck.Mass))
+	out = binary.LittleEndian.AppendUint64(out, uint64(ck.Deleted))
+	out = binary.AppendUvarint(out, uint64(len(ck.Key)))
+	out = append(out, ck.Key...)
+	out = binary.AppendUvarint(out, uint64(len(ck.Spec)))
+	out = append(out, ck.Spec...)
+	out = binary.AppendUvarint(out, uint64(len(ck.State)))
+	out = append(out, ck.State...)
+	binary.LittleEndian.PutUint32(out[5:ckptHeaderLen], crc32.Checksum(out[ckptHeaderLen:], crcTable))
 
 	final := checkpointPath(dir, ck.Key)
 	tmp := final + ".tmp"
