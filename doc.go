@@ -1,10 +1,10 @@
 // Package repro is the root of a from-scratch Go reproduction of
 // "A Framework for Adversarially Robust Streaming Algorithms"
 // (Ben-Eliezer, Jayaram, Woodruff, Yogev — PODS 2020). The library lives
-// under internal/ (see DESIGN.md for the package map), runnable examples
-// under examples/, and the experiment harness under cmd/experiments. The
-// root package holds the benchmark suite that regenerates every table and
-// figure of the paper (bench_test.go).
+// under internal/ (package map below) and the experiment harness under
+// cmd/experiments, whose ams, kmv and hh experiments are the runnable
+// demos. The root package holds the benchmark suite that regenerates
+// every table and figure of the paper (bench_test.go).
 //
 // Package map, bottom to top:
 //

@@ -347,20 +347,6 @@ func (c *Client) QueryPoint(ctx context.Context, key string, item uint64) (value
 	return resp.Answers[0].Value, resp.Answers[0].ErrorBound, nil
 }
 
-// TopK returns the k largest-magnitude candidate heavy items of keyspace
-// key with their estimated frequencies, largest |weight| first
-// (point-querying tenants only).
-func (c *Client) TopK(ctx context.Context, key string, k int) ([]ItemWeight, error) {
-	resp, err := c.Query(ctx, key, []Query{{Kind: server.QueryTopK, K: k}})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Answers) != 1 {
-		return nil, fmt.Errorf("sketchd: %d answers to a 1-query batch", len(resp.Answers))
-	}
-	return resp.Answers[0].Items, nil
-}
-
 // DeleteKey tears keyspace key down, freeing its quota slot.
 func (c *Client) DeleteKey(ctx context.Context, key string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/keys", keyQuery(key), nil, "", "", nil, nil)
@@ -484,18 +470,6 @@ func (c *Client) Add(ctx context.Context, key string, items ...uint64) error {
 	ups := make([]Update, len(items))
 	for i, it := range items {
 		ups[i] = Update{Item: it, Delta: 1}
-	}
-	return c.Update(ctx, key, ups)
-}
-
-// Delete is Update with delta −1 for each item. Insertion-only tenants
-// (model "insertion", the default) reject the whole batch with HTTP 400
-// and apply nothing; declare the tenant with model "turnstile" or
-// "bounded_deletion" to make deletions part of its guarantee.
-func (c *Client) Delete(ctx context.Context, key string, items ...uint64) error {
-	ups := make([]Update, len(items))
-	for i, it := range items {
-		ups[i] = Update{Item: it, Delta: -1}
 	}
 	return c.Update(ctx, key, ups)
 }

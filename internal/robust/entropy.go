@@ -1,11 +1,6 @@
 package robust
 
-import (
-	"math"
-
-	"repro/internal/core"
-	"repro/internal/sketch"
-)
+import "repro/internal/sketch"
 
 // Entropy is the adversarially robust additive-ε entropy estimator of
 // Theorem 1.10 / 7.3: dense sketch switching applied to g = 2^H (whose
@@ -21,15 +16,6 @@ import (
 // carries the full λ = Õ(ε⁻²·log³ n) factor.
 type Entropy struct {
 	est sketch.Estimator // policy-wrapped; publishes bits via EntropyProblem
-}
-
-// EntropyLambda returns the worst-case flip budget of Proposition 7.2 for
-// streams over [n] with counts ≤ maxCount. It is very large at realistic
-// parameters — the honest cost of Theorem 7.3; pass a domain-informed
-// budget to NewEntropy to run at laptop scale (Exhausted reports
-// overruns).
-func EntropyLambda(epsBits float64, n uint64, maxCount float64) int {
-	return core.FlipBoundEntropyExp(epsBits*math.Ln2, n, maxCount)
 }
 
 // NewEntropy returns a robust entropy estimator with additive error

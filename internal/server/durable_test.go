@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -483,5 +484,39 @@ func TestEstimateDuringDrainIsCoherent(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+// TestDurableShipmentRedeclarationRecovers: a replica that receives a
+// re-declared tenant journals the replacement, so a restart rebuilds the
+// new declaration rather than the first one. Robust tenants ship spec-only
+// and never checkpoint, so recovery here runs purely from the log.
+func TestDurableShipmentRedeclarationRecovers(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	srv, _ := bootDurable(t, durableCfg(dir))
+	for _, budget := range []int{8, 16} {
+		spec, err := json.Marshal(server.TenantSpec{Sketch: "f2", Policy: "switching", FlipBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.ApplyShipment("rob", spec, nil, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, c2 := bootDurable(t, durableCfg(dir))
+	ks, err := c2.KeyStats(ctx, "rob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ks.Spec == nil || ks.Spec.FlipBudget != 16 {
+		t.Fatalf("recovered spec %+v, want the re-declared flip_budget 16", ks.Spec)
+	}
+	if err := srv2.Shutdown(); err != nil {
+		t.Fatal(err)
 	}
 }

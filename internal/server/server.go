@@ -396,9 +396,6 @@ func (s *Server) Drain() {
 	}
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Handler returns the sketchd HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

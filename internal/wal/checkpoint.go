@@ -38,8 +38,9 @@ type Checkpoint struct {
 //	body: LSN u64 | mass u64 | deleted u64 | key len uvarint | key |
 //	      spec len uvarint | spec | state len uvarint | state
 //
-// The CRC covers the body. Files are written to a temp name and renamed into
-// place, so a crash mid-checkpoint leaves the previous checkpoint intact.
+// The CRC covers the body. Files are written to a unique temp name and
+// renamed into place, so a crash mid-checkpoint leaves the previous
+// checkpoint intact.
 const (
 	ckptMagic     = "SKCP"
 	ckptVersion   = 1
@@ -72,12 +73,14 @@ func WriteCheckpoint(dir string, ck Checkpoint) error {
 	out = append(out, ck.State...)
 	binary.LittleEndian.PutUint32(out[5:ckptHeaderLen], crc32.Checksum(out[ckptHeaderLen:], crcTable))
 
+	// Each write gets its own temp file, so concurrent checkpoints of one
+	// key never share (and truncate) a file: the last rename wins whole.
 	final := checkpointPath(dir, ck.Key)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := os.CreateTemp(dir, filepath.Base(final)+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	tmp := f.Name()
 	if _, err := f.Write(out); err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -110,8 +113,18 @@ func RemoveCheckpoint(dir, key string) error {
 
 // LoadCheckpoints reads every checkpoint in dir. Corrupt files are skipped
 // (their paths returned for reporting) — the tenant they belonged to is
-// recovered by full replay instead.
+// recovered by full replay instead. Temp files left by a crash mid-write are
+// removed, so call it only while no checkpoint is being written (at boot).
 func LoadCheckpoints(dir string) (map[string]Checkpoint, []string, error) {
+	stale, err := filepath.Glob(filepath.Join(dir, "ck-*.tmp"))
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	for _, p := range stale {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			return nil, nil, fmt.Errorf("wal: %w", err)
+		}
+	}
 	paths, err := filepath.Glob(filepath.Join(dir, "ck-*.ckpt"))
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)

@@ -173,7 +173,7 @@ type Log struct {
 	segs    []segment
 	nextLSN uint64
 	dirty   bool
-	syncErr error
+	syncErr error // sticky I/O failure; see failLocked
 	closed  bool
 
 	buf   []byte
@@ -400,15 +400,16 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	active := &l.segs[len(l.segs)-1]
 	if active.size+int64(len(l.buf)) > l.opts.SegmentBytes && active.records > 0 {
 		if err := l.newSegmentLocked(); err != nil {
-			return 0, err
+			return 0, l.failLocked(err)
 		}
 		active = &l.segs[len(l.segs)-1]
 	}
 
 	if _, err := l.f.Write(l.buf); err != nil {
-		// A partial write leaves a torn tail; the next Open repairs it. Do
-		// not advance the LSN.
-		return 0, fmt.Errorf("wal: %w", err)
+		// A partial write leaves a torn tail that the next Open truncates.
+		// Appending behind it would put acknowledged records past the cut,
+		// so the log fails stop instead.
+		return 0, l.failLocked(fmt.Errorf("wal: %w", err))
 	}
 	active.size += int64(len(l.buf))
 	active.records++
@@ -418,12 +419,23 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	switch l.opts.Fsync {
 	case FsyncAlways:
 		if err := l.f.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
+			return 0, l.failLocked(fmt.Errorf("wal: %w", err))
 		}
 	case FsyncBatch:
 		l.dirty = true
 	}
 	return lsn, nil
+}
+
+// failLocked makes err the log's sticky failure, unless one is already set,
+// and returns the sticky failure. After a failed write, fsync or rotation
+// the segment tail is unknown, so every later Append and Sync fails until
+// the log is reopened and Open repairs the tail.
+func (l *Log) failLocked(err error) error {
+	if l.syncErr == nil {
+		l.syncErr = err
+	}
+	return l.syncErr
 }
 
 // Sync forces an fsync of the active segment regardless of policy.
@@ -441,7 +453,7 @@ func (l *Log) syncLocked() error {
 		return l.syncErr
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return l.failLocked(fmt.Errorf("wal: %w", err))
 	}
 	l.dirty = false
 	return nil

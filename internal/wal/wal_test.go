@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -79,6 +80,70 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	check(l2)
 	if got := l2.HeadLSN(); got != uint64(len(want)) {
 		t.Fatalf("reopened HeadLSN = %d, want %d", got, len(want))
+	}
+}
+
+// TestFailedWriteStopsLog: after one failed write the log refuses every
+// later Append and Sync, so no acknowledged record can land behind a torn
+// tail, and a reopen replays exactly the records acknowledged before the
+// failure.
+func TestFailedWriteStopsLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := []Record{
+		{Kind: KindCreate, Key: "k", Data: []byte("{}")},
+		{Kind: KindUpdate, Key: "k", Data: []byte{1, 2, 3}},
+	}
+	for _, r := range acked {
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Swap the active handle for a read-only one for a single call, so that
+	// one write fails as it would on EIO or ENOSPC.
+	good := l.f
+	ro, err := os.Open(good.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f = ro
+	if _, err := l.Append(Record{Kind: KindUpdate, Key: "k", Data: []byte{4}}); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	l.f = good
+	ro.Close()
+
+	if _, err := l.Append(Record{Kind: KindUpdate, Key: "k", Data: []byte{5}}); err == nil {
+		t.Fatal("append after a failed write succeeded; the log must fail stop")
+	}
+	if err := l.Sync(); err == nil {
+		t.Fatal("sync after a failed write succeeded")
+	}
+	if got := l.HeadLSN(); got != uint64(len(acked)) {
+		t.Fatalf("HeadLSN = %d, want %d", got, len(acked))
+	}
+	l.Close()
+
+	l2, err := Open(dir, Options{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	got := collect(t, l2)
+	if len(got) != len(acked) {
+		t.Fatalf("replayed %d records, want the %d acknowledged", len(got), len(acked))
+	}
+	for i := range acked {
+		if got[i].Kind != acked[i].Kind || !bytes.Equal(got[i].Data, acked[i].Data) {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], acked[i])
+		}
+	}
+	if _, err := l2.Append(Record{Kind: KindUpdate, Key: "k", Data: []byte{6}}); err != nil {
+		t.Fatalf("append after reopen: %v", err)
 	}
 }
 
@@ -330,6 +395,56 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if _, ok := got["tenant/one"]; ok {
 		t.Fatal("checkpoint survived removal")
+	}
+}
+
+// TestConcurrentCheckpointsOfOneKey: writers racing on one key each write
+// their own temp file, so none fails and the surviving checkpoint is whole.
+// Which writer wins is not decided here.
+func TestConcurrentCheckpointsOfOneKey(t *testing.T) {
+	dir := t.TempDir()
+	const writers, rounds = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*rounds)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				state := bytes.Repeat([]byte{byte(w)}, 4096+w*512)
+				if err := WriteCheckpoint(dir, Checkpoint{Key: "hot", LSN: uint64(i), Spec: []byte("{}"), State: state}); err != nil {
+					errs <- err
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// A temp file left by a crash mid-write is cleaned up at load.
+	stale := checkpointPath(dir, "hot") + ".123.tmp"
+	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, corrupt, err := LoadCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(corrupt) != 0 || len(got) != 1 {
+		t.Fatalf("loaded %d checkpoints with corrupt %v, want 1 and none", len(got), corrupt)
+	}
+	if ck := got["hot"]; ck.LSN != rounds-1 {
+		t.Fatalf("checkpoint LSN = %d, want %d", ck.LSN, rounds-1)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("temp files left after load: %v", left)
 	}
 }
 
